@@ -609,27 +609,35 @@ type MeasureTable struct {
 // fanning the offers across the worker pool. Undefined values are
 // reported as NaN rather than failing the batch.
 func (e *Engine) Measures(ctx context.Context, offers []*FlexOffer, opts ...Option) (*MeasureTable, error) {
-	o := e.resolve(opts)
+	return measureTable(ctx, offers, e.resolve(opts).norm, e.runIndexed)
+}
+
+// measureTable is the measure table both engine types serve: fanOut
+// calls fn(i) once for every row i in [0, n) — concurrently or not —
+// and the set row is then folded from the computed columns.
+func measureTable(ctx context.Context, offers []*FlexOffer, norm Norm, fanOut func(n int, fn func(int))) (*MeasureTable, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ms := measureSet(o.norm)
+	ms := measureSet(norm)
+	k := len(ms)
 	t := &MeasureTable{
-		Names:  make([]string, len(ms)),
+		Names:  make([]string, k),
 		Values: make([][]float64, len(offers)),
-		Set:    make([]float64, len(ms)),
+		Set:    make([]float64, k),
 	}
 	for j, m := range ms {
 		t.Names[j] = m.Name()
 	}
+	cells := make([]float64, len(offers)*k)
 	done := ctx.Done()
-	e.runIndexed(len(offers), func(i int) {
+	fanOut(len(offers), func(i int) {
 		select {
 		case <-done:
 			return
 		default:
 		}
-		row := make([]float64, len(ms))
+		row := cells[i*k : (i+1)*k : (i+1)*k]
 		for j, m := range ms {
 			v, err := m.Value(offers[i])
 			if err != nil {
@@ -643,13 +651,37 @@ func (e *Engine) Measures(ctx context.Context, offers []*FlexOffer, opts ...Opti
 		return nil, err
 	}
 	for j, m := range ms {
-		v, err := m.SetValue(offers)
-		if err != nil {
-			v = math.NaN()
-		}
-		t.Set[j] = v
+		t.Set[j] = setFromColumn(m, t.Values, j, offers)
 	}
 	return t, nil
+}
+
+// setFromColumn is m.SetValue(offers), NaN where it fails. For the
+// Section 4 sum and average rules it folds column j of the computed
+// rows instead of re-evaluating every offer: these are the additions
+// SetValue makes in the same order, and a row whose Value failed is
+// already NaN, as the failed SetValue would be.
+func setFromColumn(m Measure, rows [][]float64, j int, offers []*FlexOffer) float64 {
+	switch m.(type) {
+	case core.TimeMeasure, core.EnergyMeasure, core.ProductMeasure, core.VectorMeasure,
+		core.SeriesMeasure, core.AbsoluteAreaMeasure, core.RelativeAreaMeasure:
+		if len(rows) == 0 {
+			return math.NaN()
+		}
+		var sum float64
+		for _, row := range rows {
+			sum += row[j]
+		}
+		if _, mean := m.(core.RelativeAreaMeasure); mean {
+			return sum / float64(len(rows))
+		}
+		return sum
+	}
+	v, err := m.SetValue(offers)
+	if err != nil {
+		return math.NaN()
+	}
+	return v
 }
 
 // measureSet is AllMeasures with the given norm applied to the vector

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
+	"math/bits"
 
 	"flexmeasures/internal/flexoffer"
 	"flexmeasures/internal/timeseries"
@@ -266,6 +269,11 @@ func (AssignmentsMeasure) Name() string { return "assignments" }
 // Value implements Measure. Counts beyond 2^53 lose precision in the
 // float64 conversion; AssignmentFlexibility returns the exact count.
 func (AssignmentsMeasure) Value(f *flexoffer.FlexOffer) (float64, error) {
+	if n, ok := assignmentCount64(f); ok {
+		// Go's integer-to-float conversion rounds to nearest even,
+		// exactly as big.Float.Float64 does.
+		return float64(n), nil
+	}
 	v, _ := new(big.Float).SetInt(AssignmentFlexibility(f)).Float64()
 	return v, nil
 }
@@ -273,16 +281,68 @@ func (AssignmentsMeasure) Value(f *flexoffer.FlexOffer) (float64, error) {
 // SetValue implements Measure by "counting the number of possible
 // assignments for the whole set" (Section 4): the offers choose their
 // assignments independently, so the combined count is the product.
+//
+// The product is exact only while it can still round to a finite
+// float64. Once |total| ≥ 2^1024 every later non-zero factor keeps it
+// there, so the result is ±Inf (or 0 if a later factor is 0) and only
+// the factors' signs remain to be folded — in int arithmetic, so a
+// large fleet costs one pass instead of a product quadratic in its bit
+// length.
 func (AssignmentsMeasure) SetValue(fs []*flexoffer.FlexOffer) (float64, error) {
 	if len(fs) == 0 {
 		return 0, ErrEmptySet
 	}
 	total := big.NewInt(1)
-	for _, f := range fs {
+	for i, f := range fs {
 		total.Mul(total, AssignmentFlexibility(f))
+		if total.BitLen() <= 1024 {
+			continue
+		}
+		sign := total.Sign()
+		for _, g := range fs[i+1:] {
+			sign *= assignmentSign(g)
+		}
+		if sign == 0 {
+			return 0, nil
+		}
+		return math.Inf(sign), nil
 	}
 	v, _ := new(big.Float).SetInt(total).Float64()
 	return v, nil
+}
+
+// assignmentCount64 is AssignmentFlexibility in uint64 arithmetic; ok
+// is false when a factor is negative or the product overflows, and the
+// caller must fall back to the big integer.
+func assignmentCount64(f *flexoffer.FlexOffer) (n uint64, ok bool) {
+	tf := int64(f.TimeFlexibility() + 1)
+	if tf < 0 {
+		return 0, false
+	}
+	n = uint64(tf)
+	for _, s := range f.Slices {
+		k := s.Span() + 1
+		if k < 0 {
+			return 0, false
+		}
+		hi, lo := bits.Mul64(n, uint64(k))
+		if hi != 0 {
+			return 0, false
+		}
+		n = lo
+	}
+	return n, true
+}
+
+// assignmentSign is the sign of AssignmentFlexibility(f), taken from
+// the signs of its factors (the same int values the big product
+// multiplies) without forming the product.
+func assignmentSign(f *flexoffer.FlexOffer) int {
+	sign := cmp.Compare(f.TimeFlexibility()+1, 0)
+	for _, s := range f.Slices {
+		sign *= cmp.Compare(s.Span()+1, 0)
+	}
+	return sign
 }
 
 // Characteristics implements Measure (Table 1, column "Assignments").

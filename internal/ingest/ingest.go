@@ -66,7 +66,8 @@ type Params struct {
 	// round (the block always extends to the end of its last line, so a
 	// record larger than the block still decodes). Values below 1 pick
 	// 1 MiB. Smaller blocks bound memory and tighten backpressure;
-	// larger blocks amortize the per-round fan-out.
+	// larger blocks amortize the per-round fan-out. The first round
+	// reads at most firstBlockBytes, so a small request stays small.
 	BlockBytes int
 	// ErrorMode selects first-error or collect-all failure reporting.
 	ErrorMode ErrorMode
@@ -134,6 +135,9 @@ type span struct {
 	line       int
 }
 
+// firstBlockBytes caps DecodeNDJSON's first block.
+const firstBlockBytes = 64 << 10
+
 // DecodeNDJSON reads NDJSON flex-offers from r with the decode work
 // sharded under p. The result holds the offers in record order and is
 // identical to DecodeNDJSONSerial on the same stream for every worker
@@ -149,11 +153,16 @@ func DecodeNDJSON(ctx context.Context, r io.Reader, p Params) ([]*flexoffer.Flex
 	if blockBytes < 1 {
 		blockBytes = 1 << 20
 	}
-	br := bufio.NewReaderSize(r, min(blockBytes, 1<<20))
+	// Block reads at least as large as the bufio buffer bypass it, so
+	// the default size only serves the line-end extensions.
+	br := bufio.NewReader(r)
 	// One block buffer serves the whole stream: decodeBlock completes
 	// before the next read, and everything that outlives a round
-	// (offers, error messages) is copied out of it.
-	buf := make([]byte, blockBytes)
+	// (offers, error messages) is copied out of it. It grows to
+	// blockBytes only for a stream longer than the first block, so a
+	// resubmission of a few offers allocates kilobytes, not megabytes
+	// whose collection would dominate its latency.
+	buf := make([]byte, min(blockBytes, firstBlockBytes))
 	var (
 		out     []*flexoffer.FlexOffer
 		all     RecordErrors
@@ -185,6 +194,9 @@ func DecodeNDJSON(ctx context.Context, r io.Reader, p Params) ([]*flexoffer.Flex
 		lnBase += nlines
 		if rerr == io.EOF {
 			break
+		}
+		if len(buf) < blockBytes {
+			buf = make([]byte, blockBytes)
 		}
 	}
 	if len(all) > 0 {

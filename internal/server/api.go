@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"strconv"
 
 	flex "flexmeasures"
 	"flexmeasures/internal/flexoffer"
@@ -270,8 +271,14 @@ func BuildMeasuresResponse(t *flex.MeasureTable) *MeasuresResponse {
 		Values: make([][]JSONFloat, len(t.Values)),
 		Set:    make([]JSONFloat, len(t.Set)),
 	}
+	n := 0
+	for _, row := range t.Values {
+		n += len(row)
+	}
+	cells := make([]JSONFloat, n)
 	for i, row := range t.Values {
-		out := make([]JSONFloat, len(row))
+		out := cells[:len(row):len(row)]
+		cells = cells[len(row):]
 		for j, v := range row {
 			out[j] = JSONFloat(v)
 		}
@@ -281,6 +288,76 @@ func BuildMeasuresResponse(t *flex.MeasureTable) *MeasuresResponse {
 		resp.Set[j] = JSONFloat(v)
 	}
 	return resp
+}
+
+// appendJSON is MeasuresResponse's encoding without reflection: a
+// table of ~10^5 cells spends most of a reflective json.Marshal in the
+// per-cell MarshalJSON calls. The bytes are exactly json.Marshal(r)'s.
+func (r MeasuresResponse) appendJSON(b []byte) []byte {
+	names, _ := json.Marshal(r.Names) // a []string always marshals
+	b = append(b, `{"names":`...)
+	b = append(b, names...)
+	b = append(b, `,"values":`...)
+	if r.Values == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, row := range r.Values {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendFloats(b, row)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"set":`...)
+	b = appendFloats(b, r.Set)
+	return append(b, '}')
+}
+
+// appendFloats appends vs as a JSON array, or null for a nil slice.
+func appendFloats(b []byte, vs []JSONFloat) []byte {
+	if vs == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendFloat(b, float64(v))
+	}
+	return append(b, ']')
+}
+
+// appendFloat appends v as JSONFloat.MarshalJSON encodes it: null for
+// NaN and ±Inf, otherwise encoding/json's float64 format — the
+// shortest 'f' form, switching to 'e' below 1e-6 and from 1e21 up, with
+// a two-digit negative exponent shortened (e-07 → e-7).
+func appendFloat(b []byte, v float64) []byte {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return append(b, "null"...)
+	}
+	// Most measures are integral. Below 2^53 the float's spacing is at
+	// most 1, so no shorter decimal than the integer itself reads back
+	// as v, and the shortest 'f' form is its decimal digits ("-0"
+	// excepted).
+	if v == math.Trunc(v) && math.Abs(v) < 1<<53 && !(v == 0 && math.Signbit(v)) {
+		return strconv.AppendInt(b, int64(v), 10)
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if format == 'e' {
+		n := len(b)
+		if n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // RecordErrorInfo is the wire shape of one failed ingest record.
@@ -307,8 +384,14 @@ func DecodeResponse(r io.Reader, v any) error {
 
 // EncodeResponse writes v as one line of compact JSON — the single
 // serialization path of every wire type, shared by the HTTP handlers
-// and flexctl -json so their bytes can be compared directly.
+// and flexctl -json so their bytes can be compared directly. Types
+// with an appendJSON method (MeasuresResponse) encode through it, to
+// the bytes json.Marshal would produce.
 func EncodeResponse(w io.Writer, v any) error {
+	if a, ok := v.(interface{ appendJSON([]byte) []byte }); ok {
+		_, err := w.Write(append(a.appendJSON(nil), '\n'))
+		return err
+	}
 	data, err := json.Marshal(v)
 	if err != nil {
 		return err

@@ -141,7 +141,7 @@ func TestIncrementalScheduleMetrics(t *testing.T) {
 	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("reset: %v %v", resp, err)
 	} else {
-		resp.Body.Close()
+		closeDrained(resp)
 	}
 	_, mb = get(t, srv.URL+"/metrics")
 	if v := metricValue(t, string(mb), "flexd_sched_pending_mutations"); v == 0 {

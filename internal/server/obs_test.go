@@ -371,7 +371,9 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	// Read the body to EOF: the trace lands in the ring when route
+	// returns, which the response's final chunk follows.
+	closeDrained(resp)
 	if got := resp.Header.Get("X-Request-Id"); got != "my-trace-42" {
 		t.Errorf("X-Request-Id echo: got %q, want my-trace-42", got)
 	}

@@ -52,7 +52,7 @@ func doDelete(t *testing.T, url string) *http.Response {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	closeDrained(resp)
 	return resp
 }
 

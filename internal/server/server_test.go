@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	flex "flexmeasures"
 	"flexmeasures/internal/flexoffer"
@@ -64,6 +65,17 @@ func post(t *testing.T, url string, body io.Reader) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, data
+}
+
+// closeDrained reads resp's body to EOF, then closes it. net/http sends
+// a response's last bytes (the final chunk, or a small buffered body
+// whole) only once the handler has returned, and with it route's
+// metrics and trace bookkeeping; so reading to EOF orders that
+// bookkeeping before any later read of server state. Closing an unread
+// body does not.
+func closeDrained(resp *http.Response) {
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
 }
 
 func get(t *testing.T, url string) (*http.Response, []byte) {
@@ -132,7 +144,7 @@ func TestIngestAndStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dresp.Body.Close()
+	closeDrained(dresp)
 	if dresp.StatusCode != http.StatusOK {
 		t.Fatalf("reset: %s", dresp.Status)
 	}
@@ -415,7 +427,7 @@ func TestMaxInFlightGate(t *testing.T) {
 	go func() {
 		resp, err := http.Post(srv.URL+"/v1/offers", "application/x-ndjson", pr)
 		if err == nil {
-			resp.Body.Close()
+			closeDrained(resp)
 		}
 		errc <- err
 	}()
@@ -426,23 +438,24 @@ func TestMaxInFlightGate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var rejected bool
-	for i := 0; i < 100; i++ {
-		resp, _ := post(t, srv.URL+"/v1/schedule", nil)
-		if resp.StatusCode == http.StatusTooManyRequests {
-			if ra := resp.Header.Get("Retry-After"); ra == "" {
-				t.Error("429 without Retry-After")
-			}
-			rejected = true
-			break
+	// Probe only once the ingest holds the gate: the client may still
+	// be sending its headers when Write returns.
+	gate := srv.Config.Handler.(*Server).gate
+	for deadline := time.Now().Add(10 * time.Second); len(gate) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the ingest request never entered the gate")
 		}
 	}
+	resp, _ := post(t, srv.URL+"/v1/schedule", nil)
 	pw.Close()
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	if !rejected {
-		t.Fatal("gate of 1 never produced a 429 while a request was in flight")
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("request while another is in flight: %s, want 429", resp.Status)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra == "" {
+		t.Error("429 without Retry-After")
 	}
 
 	// After the gate drains, requests flow again.
@@ -512,7 +525,7 @@ func TestRequestLatencyHistograms(t *testing.T) {
 	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("reset: %v %v", resp, err)
 	} else {
-		resp.Body.Close()
+		closeDrained(resp)
 	}
 	resp, _ = post(t, srv.URL+"/v1/schedule?horizon=96", nil)
 	if resp.StatusCode != http.StatusBadRequest {

@@ -3,7 +3,6 @@ package flex
 import (
 	"context"
 	"errors"
-	"math"
 	"sort"
 	"sync"
 
@@ -393,61 +392,22 @@ func (se *ShardedEngine) Measures(ctx context.Context, offers []*FlexOffer, opts
 // blocks across the shard pools; the set-level row is computed at the
 // gather point. Identical to Engine.Measures on the flattened offers.
 func (se *ShardedEngine) MeasuresRouted(ctx context.Context, parts [][]RoutedOffer, opts ...Option) (*MeasureTable, error) {
-	o := se.resolve(opts)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	merged := shard.Flatten(parts)
-	ms := measureSet(o.norm)
-	t := &MeasureTable{
-		Names:  make([]string, len(ms)),
-		Values: make([][]float64, len(merged)),
-		Set:    make([]float64, len(ms)),
-	}
-	for j, m := range ms {
-		t.Names[j] = m.Name()
-	}
-	done := ctx.Done()
-	bounds := blockBounds(len(merged), len(se.engines))
-	var wg sync.WaitGroup
-	for k := range se.engines {
-		lo, hi := bounds[k], bounds[k+1]
-		if lo == hi {
-			continue
+	return measureTable(ctx, shard.Flatten(parts), se.resolve(opts).norm, func(n int, fn func(int)) {
+		bounds := blockBounds(n, len(se.engines))
+		var wg sync.WaitGroup
+		for k := range se.engines {
+			lo, hi := bounds[k], bounds[k+1]
+			if lo == hi {
+				continue
+			}
+			wg.Add(1)
+			go func(k, lo, hi int) {
+				defer wg.Done()
+				se.engines[k].runIndexed(hi-lo, func(i int) { fn(lo + i) })
+			}(k, lo, hi)
 		}
-		wg.Add(1)
-		go func(k, lo, hi int) {
-			defer wg.Done()
-			se.engines[k].runIndexed(hi-lo, func(i int) {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				row := make([]float64, len(ms))
-				for j, m := range ms {
-					v, err := m.Value(merged[lo+i])
-					if err != nil {
-						v = math.NaN()
-					}
-					row[j] = v
-				}
-				t.Values[lo+i] = row
-			})
-		}(k, lo, hi)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for j, m := range ms {
-		v, err := m.SetValue(merged)
-		if err != nil {
-			v = math.NaN()
-		}
-		t.Set[j] = v
-	}
-	return t, nil
+		wg.Wait()
+	})
 }
 
 // scatterGroup is the scatter-gather grouping stage: each non-empty
